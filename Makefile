@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-sense bench-harden verify
+.PHONY: build test vet lint race bench bench-check bench-sense bench-harden verify
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ test:
 # Race-detector pass over the concurrent farm/journal/transport/control-plane layer.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+
+# Vet and test the benchmark module (kfibench/ is its own module, so the root
+# go build/test ./... skip it; it pins the exported campaign driver API).
+bench-check:
+	cd kfibench && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration snapshot + execution-engine + static-sense benchmarks;
 # rewrites BENCH_snapshot.json, BENCH_exec.json, and BENCH_sense.json.

@@ -87,9 +87,10 @@ type ExecOptions struct {
 	// outcome is recorded as inject.OQuarantined (0 = default 3).
 	MaxAttempts int
 	// InjectionTimeout is the per-attempt wall-clock watchdog. An attempt
-	// that exceeds it is abandoned and retried on a respawned node (farm
-	// runs; single-system runs cannot replace their machine and report an
-	// error). 0 = default 2m; negative disables the watchdog.
+	// that exceeds it is abandoned and retried on a node rebuilt from the
+	// farm's build inputs (RunWith on a caller-owned system cannot rebuild
+	// it and reports an error). 0 = default 2m; negative disables the
+	// watchdog.
 	InjectionTimeout time.Duration
 	// RetryBackoff is the delay before the first retry; it doubles with
 	// every further attempt (0 = default 2ms).
@@ -152,85 +153,6 @@ func applyCompleted(rc *recorder, opts ExecOptions) ([]bool, error) {
 		}
 	}
 	return skip, nil
-}
-
-// RunWith is Run with explicit execution options.
-func RunWith(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
-	progress func(done, total int), opts ExecOptions) (*Result, error) {
-	if opts.SectionCache != "" && opts.Replay {
-		return nil, fmt.Errorf("campaign: SectionCache requires the fork-from-golden scheduler; replay mode never traces the golden run the cache keys fingerprint")
-	}
-	if err := sys.Machine.SetEngine(opts.Engine); err != nil {
-		return nil, err
-	}
-	sys.Machine.Engine().ResetStats()
-	gen := NewGenerator(sys, profile, spec.Seed, profileCycles(profile))
-	targets, err := gen.Targets(spec)
-	if err != nil {
-		return nil, err
-	}
-	sense, err := buildSense(sys, targets, opts)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]inject.Result, len(targets))
-	rec := &recorder{journal: opts.Journal, progress: progress, results: results,
-		sense: sense, markCached: opts.SectionCache != ""}
-	skip, err := applyCompleted(rec, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	if opts.Replay {
-		rep := newReplayRunner(sys, golden, opts)
-		for i, t := range targets {
-			if skip[i] {
-				continue
-			}
-			res, err := rep.runTarget(i, t)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-			if err := rec.complete(i, true); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Spec: spec, Platform: sys.Platform, Results: results,
-			Engine: sys.Machine.EngineKind(), EngineStats: sys.Machine.Engine().Stats()}, nil
-	}
-
-	sched, err := buildSchedule(sys, targets, opts)
-	if err != nil {
-		return nil, err
-	}
-	prunePre(sched, targets, sense, opts)
-	secs, err := openSectionCache(sys, golden, spec, targets, sched, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := secs.restore(rec, skip); err != nil {
-		return nil, err
-	}
-	for i, r := range sched.pre {
-		if skip[i] {
-			continue
-		}
-		results[i] = r
-		if err := rec.complete(i, true); err != nil {
-			return nil, err
-		}
-	}
-	order := filterOrder(sched.order, skip)
-	if err := runChunk(sys, golden, targets, order, results, opts,
-		func(idx int) error { return rec.complete(idx, true) }, maxTrig(sched.order)); err != nil {
-		return nil, err
-	}
-	if err := secs.store(results); err != nil {
-		return nil, err
-	}
-	return &Result{Spec: spec, Platform: sys.Platform, Results: results,
-		Engine: sys.Machine.EngineKind(), EngineStats: sys.Machine.Engine().Stats()}, nil
 }
 
 // filterOrder drops already-completed entries from a trigger-sorted order.
@@ -297,12 +219,20 @@ type schedule struct {
 // buildSchedule computes each target's trigger cycle and sorts targets by
 // it. Delay-triggered targets (stack, system registers) use their Delay;
 // code targets use the first golden-run execution of their address;
-// everything else injects at boot (trigger 0). The golden run is traced
-// when code targets need their trigger cycles, and also when the options
-// prune or cache sections — both synthesize rows from the golden outcome.
+// everything else injects at boot (trigger 0). Replay mode keeps index
+// order at trigger 0. The golden run is traced when code targets need their
+// trigger cycles, and also when the options prune or cache sections — both
+// synthesize rows from the golden outcome.
 func buildSchedule(sys *kernel.System, targets []inject.Target, opts ExecOptions) (*schedule, error) {
-	var tr *goldenTrace
-	needGolden := !opts.Replay && (opts.Prune || opts.SectionCache != "")
+	s := &schedule{order: make([]trigOrder, 0, len(targets)), pre: map[int]inject.Result{}}
+	if opts.Replay {
+		// Every injection reboots: index order, nothing to trace.
+		for i := range targets {
+			s.order = append(s.order, trigOrder{0, i})
+		}
+		return s, nil
+	}
+	needGolden := opts.Prune || opts.SectionCache != ""
 	for _, t := range targets {
 		if t.Campaign == inject.CampCode {
 			needGolden = true
@@ -311,11 +241,11 @@ func buildSchedule(sys *kernel.System, targets []inject.Target, opts ExecOptions
 	}
 	if needGolden {
 		var err error
-		if tr, err = traceGolden(sys); err != nil {
+		if s.golden, err = traceGolden(sys); err != nil {
 			return nil, err
 		}
 	}
-	s := &schedule{order: make([]trigOrder, 0, len(targets)), pre: map[int]inject.Result{}, golden: tr}
+	tr := s.golden
 	for i, t := range targets {
 		switch {
 		case t.Delay > 0:
@@ -388,8 +318,10 @@ type nodeState struct {
 // the best persisted waypoint), which reproduces the same deterministic
 // pause states.
 //
-// Every injection is executed under the supervision policy (panic isolation,
-// wall-clock watchdog, retry with backoff, quarantine) — see supervise.go.
+// In replay mode each attempt instead reboots and replays from boot
+// (inject.RunOne) and keeps no chain. Either way every injection is executed
+// under the one supervision policy (panic isolation, wall-clock watchdog,
+// retry with backoff, quarantine) — see supervise.go.
 type chunkRunner struct {
 	st      *nodeState
 	golden  uint32
@@ -401,9 +333,9 @@ type chunkRunner struct {
 	// respawn, when set (farm nodes), builds a replacement guest system
 	// after a watchdog timeout poisoned the current one.
 	respawn func() (*kernel.System, error)
-	// injectFrom runs one injection from the prepared machine state;
-	// overridden by tests to seed panics and hangs.
-	injectFrom func(idx int, sys *kernel.System, t inject.Target, golden uint32) inject.Result
+	// hook, when set (tests), wraps each injection step to seed panics and
+	// hangs.
+	hook func(idx int, run func() inject.Result) inject.Result
 	// fault, when set (tests), simulates SIGKILL-style node loss: a non-nil
 	// error for a target index kills this node before the attempt runs.
 	fault func(idx int) error
@@ -421,9 +353,6 @@ func newChunkRunner(sys *kernel.System, golden uint32, targets []inject.Target,
 		opts:    opts,
 		maxTrig: maxTrig,
 		sup:     opts.supervision(),
-		injectFrom: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
-			return inject.RunFrom(sys, t, golden)
-		},
 	}
 }
 
@@ -501,11 +430,11 @@ func (r *chunkRunner) runTarget(o trigOrder) (inject.Result, error) {
 }
 
 // replaceNode swaps in a fresh guest system after a watchdog timeout left
-// the current machine to an abandoned goroutine. Single-system runs own
-// their caller's machine and cannot replace it.
+// the current machine to an abandoned goroutine. A caller-owned system
+// (RunWith) has no build inputs to rebuild it from.
 func (r *chunkRunner) replaceNode() error {
 	if r.respawn == nil {
-		return fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the machine is unrecoverable outside a farm (run with nodes > 1 for automatic respawn)", r.sup.timeout)
+		return fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; a caller-owned machine cannot be replaced (run through a Farm for automatic respawn)", r.sup.timeout)
 	}
 	sys, err := r.respawn()
 	if err != nil {
@@ -520,6 +449,10 @@ func (r *chunkRunner) replaceNode() error {
 // inject. It mutates only st (pinned by the caller) so an abandoned attempt
 // can never corrupt a successor's state.
 func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inject.Result, error) {
+	if r.opts.Replay {
+		// The paper's literal procedure: reboot and replay from boot.
+		return r.injectStep(o.idx, func() inject.Result { return inject.RunOne(st.sys, t, r.golden) }), nil
+	}
 	m := st.sys.Machine
 	if st.snap == nil || o.trig < st.snap.Cycles {
 		// First use, or a requeued/retried trigger behind the chain: start
@@ -561,83 +494,15 @@ func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inje
 			st.way.maybeSave(snap)
 		}
 	}
-	return r.injectFrom(o.idx, st.sys, t, r.golden), nil
+	return r.injectStep(o.idx, func() inject.Result { return inject.RunFrom(st.sys, t, r.golden) }), nil
 }
 
-// runChunk executes one slice as a standalone runner (the single-system
-// path).
-func runChunk(sys *kernel.System, golden uint32, targets []inject.Target,
-	order []trigOrder, out []inject.Result, opts ExecOptions, done func(idx int) error,
-	maxTrig uint64) error {
-	if len(order) == 0 {
-		return nil
+// injectStep runs one injection, through the test hook when one is set.
+func (r *chunkRunner) injectStep(idx int, run func() inject.Result) inject.Result {
+	if r.hook == nil {
+		return run()
 	}
-	r := newChunkRunner(sys, golden, targets, opts, maxTrig)
-	defer r.close()
-	return r.run(order, out, done)
-}
-
-// replayRunner supervises replay-mode injections (reboot-and-replay from
-// boot). Each attempt is self-contained — RunOne reboots — so retries need
-// no snapshot bookkeeping; a watchdog timeout still poisons the machine and
-// needs a respawn (farm) or aborts (single system).
-type replayRunner struct {
-	sys     *kernel.System
-	golden  uint32
-	sup     supervision
-	respawn func() (*kernel.System, error)
-	// injectOne is inject.RunOne, overridden by tests.
-	injectOne func(idx int, sys *kernel.System, t inject.Target, golden uint32) inject.Result
-	fault     func(idx int) error
-}
-
-func newReplayRunner(sys *kernel.System, golden uint32, opts ExecOptions) *replayRunner {
-	return &replayRunner{
-		sys:    sys,
-		golden: golden,
-		sup:    opts.supervision(),
-		injectOne: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
-			return inject.RunOne(sys, t, golden)
-		},
-	}
-}
-
-// runTarget mirrors chunkRunner.runTarget for replay mode.
-func (r *replayRunner) runTarget(idx int, t inject.Target) (inject.Result, error) {
-	if r.fault != nil {
-		if err := r.fault(idx); err != nil {
-			return inject.Result{}, err
-		}
-	}
-	var diag string
-	for attempt := 1; ; attempt++ {
-		sys := r.sys // pinned: see chunkRunner.runTarget
-		out, timedOut := superviseAttempt(r.sup.timeout, func() (inject.Result, error) {
-			return r.injectOne(idx, sys, t, r.golden), nil
-		})
-		switch {
-		case timedOut:
-			diag = fmt.Sprintf("wall-clock watchdog (%v) exceeded", r.sup.timeout)
-			if r.respawn == nil {
-				return inject.Result{}, fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the machine is unrecoverable outside a farm (run with nodes > 1 for automatic respawn)", r.sup.timeout)
-			}
-			sys, err := r.respawn()
-			if err != nil {
-				return inject.Result{}, fmt.Errorf("campaign: respawn after watchdog timeout: %w", err)
-			}
-			r.sys = sys
-		case out.panicked:
-			diag = out.diag
-		case out.err != nil:
-			return inject.Result{}, out.err
-		default:
-			return out.res, nil
-		}
-		if attempt >= r.sup.maxAttempts {
-			return quarantinedResult(t, attempt, diag), nil
-		}
-		r.sup.sleep(r.sup.backoff << (attempt - 1))
-	}
+	return r.hook(idx, run)
 }
 
 // waypointStore persists golden-prefix checkpoints under a directory, keyed

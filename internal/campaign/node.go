@@ -3,27 +3,20 @@ package campaign
 import (
 	"fmt"
 
-	"kfi/internal/cc"
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
 	"kfi/internal/platform"
-	"kfi/internal/workload"
 )
 
-// NodeRunner is the exported per-node execution seam: one guest system with
-// its golden checksum and kernel profile, able to plan a campaign's trigger
-// schedule and execute arbitrary subsets of its targets. It is the same core
-// a Farm wraps in goroutines, packaged for out-of-process schedulers — the
-// internal/ctlplane worker agent runs leased chunks through a NodeRunner
-// exactly the way a farm node runs stolen chunks, so a distributed campaign's
-// per-index results are identical to an in-process run of the same spec.
+// NodeRunner is the exported per-node execution seam: a farm of one, able to
+// plan a campaign and execute arbitrary subsets of its targets. It plans
+// with the same step and runs with the same node runner as a farm node, so
+// the internal/ctlplane worker agent runs leased chunks exactly the way a
+// farm node runs stolen chunks, and a distributed campaign's per-index
+// results are identical to an in-process run of the same spec.
 type NodeRunner struct {
-	platform  isa.Platform
-	sys       *kernel.System
-	golden    uint32
-	profile   *Profile
-	buildNode func() (*kernel.System, error)
+	farm *Farm
 
 	// runner persists one snapshot chain across successive RunIndices calls
 	// against the same plan — the chain advances forward as long as leases
@@ -36,93 +29,42 @@ type NodeRunner struct {
 	engine platform.EngineKind
 }
 
-// NewNodeRunner builds one guest system of the given platform and workload
-// scale, measures its golden checksum, and profiles kernel usage — the same
-// construction sequence as a farm node.
+// NewNodeRunner builds a one-node farm of the given platform and workload
+// scale: one guest system with its golden checksum and kernel profile.
 func NewNodeRunner(platform isa.Platform, scale int, opts kernel.Options) (*NodeRunner, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	uimg, err := cc.Compile(workload.Program(scale), platform, kernel.UserBases)
+	f, err := NewFarm(platform, 1, scale, opts)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: node workload: %w", err)
-	}
-	nr := &NodeRunner{platform: platform}
-	nr.buildNode = func() (*kernel.System, error) {
-		return kernel.BuildSystem(platform, uimg, workload.StandardProcs(), opts)
-	}
-	if nr.sys, err = nr.buildNode(); err != nil {
-		return nil, fmt.Errorf("campaign: node system: %w", err)
-	}
-	if nr.golden, err = Golden(nr.sys); err != nil {
 		return nil, err
 	}
-	if nr.profile, err = ProfileKernel(nr.sys); err != nil {
-		return nil, err
-	}
-	return nr, nil
+	return &NodeRunner{farm: f}, nil
 }
 
 // Platform returns the node's platform.
-func (nr *NodeRunner) Platform() isa.Platform { return nr.platform }
+func (nr *NodeRunner) Platform() isa.Platform { return nr.farm.platform }
 
 // Golden returns the fault-free benchmark checksum.
-func (nr *NodeRunner) Golden() uint32 { return nr.golden }
+func (nr *NodeRunner) Golden() uint32 { return nr.farm.golden }
 
 // Profile returns the measured kernel-usage profile.
-func (nr *NodeRunner) Profile() *Profile { return nr.profile }
-
-// Plan is a campaign's deterministic execution plan: the pre-generated
-// targets, the trigger-sorted execution order (target indices), and the
-// results synthesized without execution (code targets whose instruction the
-// golden run never reaches). Two NodeRunners of the same platform and scale
-// produce identical Plans for the same spec — target generation is seeded
-// and the guest is deterministic — which is what lets a coordinator plan a
-// campaign that remote workers re-derive independently.
-type Plan struct {
-	Targets []inject.Target
-	// Order lists the target indices that actually execute, sorted by
-	// trigger cycle (the order a snapshot chain wants them in).
-	Order []int
-	// Pre maps target indices to synthesized never-activated results; they
-	// are complete without running anything.
-	Pre map[int]inject.Result
-
-	// order backs Order with the trigger cycles, so executing a subset
-	// never re-traces the golden run.
-	order []trigOrder
-}
+func (nr *NodeRunner) Profile() *Profile { return nr.farm.profile }
 
 // Plan generates the spec's targets and builds its trigger-sorted schedule.
 // The golden-run trace it may require (code campaigns) runs once; every
 // RunIndices call against the returned plan reuses it.
 func (nr *NodeRunner) Plan(spec Spec) (*Plan, error) {
-	gen := NewGenerator(nr.sys, nr.profile, spec.Seed, profileCycles(nr.profile))
-	targets, err := gen.Targets(spec)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := buildSchedule(nr.sys, targets, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{Targets: targets, Order: make([]int, 0, len(sched.order)),
-		Pre: sched.pre, order: sched.order}
-	for _, o := range sched.order {
-		p.Order = append(p.Order, o.idx)
-	}
-	return p, nil
+	return nr.farm.plan(spec, nil, ExecOptions{})
 }
 
 // RunIndices executes the plan's targets whose indices appear in want,
 // calling each with every completed result. Execution follows the plan's
 // trigger order regardless of the order of want, so the node's snapshot
 // chain only ever advances forward; indices covered by the plan's Pre set
-// are reported from it without running. Results are identical to the same
-// indices executed by Run, a Farm, or any other NodeRunner.
+// are reported first, in ascending index order, without running. Results are
+// identical to the same indices executed by Run, a Farm, or any other
+// NodeRunner.
 func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 	each func(idx int, res inject.Result) error) error {
-	if err := nr.sys.Machine.SetEngine(opts.Engine); err != nil {
+	if err := nr.farm.nodes[0].Machine.SetEngine(opts.Engine); err != nil {
 		return err
 	}
 	nr.engine = opts.Engine
@@ -133,17 +75,15 @@ func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 		}
 		wanted[i] = true
 	}
-	for idx, r := range plan.Pre {
+	err := plan.eachPre(func(idx int, r inject.Result) error {
 		if !wanted[idx] {
-			continue
+			return nil
 		}
 		delete(wanted, idx)
-		if err := each(idx, r); err != nil {
-			return err
-		}
-	}
-	if len(wanted) == 0 {
-		return nil
+		return each(idx, r)
+	})
+	if err != nil || len(wanted) == 0 {
+		return err
 	}
 	order := make([]trigOrder, 0, len(wanted))
 	for _, o := range plan.order {
@@ -153,26 +93,22 @@ func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 	}
 	if nr.runner == nil || nr.runnerPlan != plan {
 		nr.Close()
-		nr.runner = newChunkRunner(nr.sys, nr.golden, plan.Targets, opts, maxTrig(plan.order))
-		nr.runner.respawn = nr.respawnRunner
+		nr.runner = newChunkRunner(nr.farm.nodes[0], nr.farm.golden, plan.Targets, opts, maxTrig(plan.order))
+		nr.runner.respawn = nr.respawn
 		nr.runnerPlan = plan
 	}
 	results := make([]inject.Result, len(plan.Targets))
 	return nr.runner.run(order, results, func(idx int) error { return each(idx, results[idx]) })
 }
 
-// respawnRunner replaces the node's guest system after a watchdog timeout
-// poisoned it, keeping the NodeRunner and its runner pointed at the
-// replacement.
-func (nr *NodeRunner) respawnRunner() (*kernel.System, error) {
-	sys, err := nr.buildNode()
+// respawn replaces the node's guest system after a watchdog timeout
+// poisoned it, keeping the NodeRunner pointed at the replacement.
+func (nr *NodeRunner) respawn() (*kernel.System, error) {
+	sys, err := nr.farm.respawnWith(nr.engine)()
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Machine.SetEngine(nr.engine); err != nil {
-		return nil, err
-	}
-	nr.sys = sys
+	nr.farm.nodes[0] = sys
 	return sys, nil
 }
 

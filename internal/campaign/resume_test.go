@@ -124,10 +124,18 @@ func TestInterruptAndResumeEquivalence(t *testing.T) {
 	}
 }
 
+// supervisedModes are the two execution modes the one node runner
+// supervises: fork-from-golden attempts and replay-from-boot attempts.
+var supervisedModes = []struct {
+	name   string
+	replay bool
+}{{"fork", false}, {"replay", true}}
+
 // TestPanickingInjectionQuarantined seeds a harness bug that panics on one
 // specific injection, every attempt. The campaign must survive: the victim
 // is retried up to its budget, then recorded as OQuarantined with the panic
-// diagnostics, while every other injection completes normally.
+// diagnostics, while every other injection completes normally — in both
+// execution modes.
 func TestPanickingInjectionQuarantined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs injections")
@@ -137,57 +145,63 @@ func TestPanickingInjectionQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Spec{Campaign: inject.CampStack, N: 10, Seed: 2}
-	ref, err := farm.RunWith(spec, nil, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, mode := range supervisedModes {
+		t.Run(mode.name, func(t *testing.T) {
+			farm.injectHook = nil
+			ref, err := farm.RunWith(spec, nil, ExecOptions{Replay: mode.replay})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	const victim = 3
-	var mu sync.Mutex
-	attempts := 0
-	farm.injectFrom = func(idx int, sys *kernel.System, tg inject.Target, golden uint32) inject.Result {
-		if idx == victim {
-			mu.Lock()
-			attempts++
-			mu.Unlock()
-			panic("seeded harness bug")
-		}
-		return inject.RunFrom(sys, tg, golden)
-	}
-	res, err := farm.RunWith(spec, nil, ExecOptions{RetryBackoff: time.Nanosecond})
-	if err != nil {
-		t.Fatalf("campaign aborted instead of quarantining: %v", err)
-	}
-	if attempts != defaultMaxAttempts {
-		t.Fatalf("victim attempted %d times, want %d", attempts, defaultMaxAttempts)
-	}
-	q := res.Results[victim]
-	if q.Outcome != inject.OQuarantined {
-		t.Fatalf("victim outcome = %v, want quarantined", q.Outcome)
-	}
-	if !strings.Contains(q.Diag, "seeded harness bug") || !strings.Contains(q.Diag, "3 attempts") {
-		t.Fatalf("quarantine diagnostics missing detail: %q", q.Diag)
-	}
-	counts := stats.Summarize(res.Results)
-	if counts.Quarantined != 1 {
-		t.Fatalf("stats counted %d quarantined, want 1", counts.Quarantined)
-	}
-	// Every non-victim injection matches the clean run exactly.
-	for i := range res.Results {
-		if i == victim {
-			continue
-		}
-		if res.Results[i] != ref.Results[i] {
-			t.Errorf("injection %d perturbed by the quarantine: got %+v, want %+v",
-				i, res.Results[i], ref.Results[i])
-		}
+			const victim = 3
+			var mu sync.Mutex
+			attempts := 0
+			farm.injectHook = func(idx int, run func() inject.Result) inject.Result {
+				if idx == victim {
+					mu.Lock()
+					attempts++
+					mu.Unlock()
+					panic("seeded harness bug")
+				}
+				return run()
+			}
+			defer func() { farm.injectHook = nil }()
+			res, err := farm.RunWith(spec, nil, ExecOptions{Replay: mode.replay, RetryBackoff: time.Nanosecond})
+			if err != nil {
+				t.Fatalf("campaign aborted instead of quarantining: %v", err)
+			}
+			if attempts != defaultMaxAttempts {
+				t.Fatalf("victim attempted %d times, want %d", attempts, defaultMaxAttempts)
+			}
+			q := res.Results[victim]
+			if q.Outcome != inject.OQuarantined {
+				t.Fatalf("victim outcome = %v, want quarantined", q.Outcome)
+			}
+			if !strings.Contains(q.Diag, "seeded harness bug") || !strings.Contains(q.Diag, "3 attempts") {
+				t.Fatalf("quarantine diagnostics missing detail: %q", q.Diag)
+			}
+			counts := stats.Summarize(res.Results)
+			if counts.Quarantined != 1 {
+				t.Fatalf("stats counted %d quarantined, want 1", counts.Quarantined)
+			}
+			// Every non-victim injection matches the clean run exactly.
+			for i := range res.Results {
+				if i == victim {
+					continue
+				}
+				if res.Results[i] != ref.Results[i] {
+					t.Errorf("injection %d perturbed by the quarantine: got %+v, want %+v",
+						i, res.Results[i], ref.Results[i])
+				}
+			}
+		})
 	}
 }
 
 // TestNodeLossMidCampaignSameOutcomeTable kills one farm node SIGKILL-style
 // partway through a campaign. The node's unfinished chunk must return to the
 // steal queue and a replacement node take over, yielding an outcome table
-// identical to an undisturbed run.
+// identical to an undisturbed run — in both execution modes.
 func TestNodeLossMidCampaignSameOutcomeTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs injections")
@@ -203,32 +217,37 @@ func TestNodeLossMidCampaignSameOutcomeTable(t *testing.T) {
 	}
 	want := serialize(t, isa.RISC, spec, ref.Results)
 
-	var mu sync.Mutex
-	killed := false
-	farm.fault = func(node, idx int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		// Kill original node 0 the first time it picks up work; the
-		// replacement gets a fresh id, so it survives.
-		if !killed && node == 0 {
-			killed = true
-			return errNodeDown
-		}
-		return nil
-	}
-	res, err := farm.RunWith(spec, nil, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	sawKill := killed
-	mu.Unlock()
-	if !sawKill {
-		t.Fatal("fault hook never fired; the test killed nothing")
-	}
-	got := serialize(t, isa.RISC, spec, res.Results)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("outcome table changed after node loss\n got: %s\nwant: %s", got, want)
+	for _, mode := range supervisedModes {
+		t.Run(mode.name, func(t *testing.T) {
+			var mu sync.Mutex
+			killed := false
+			farm.fault = func(node, idx int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				// Kill original node 0 the first time it picks up work; the
+				// replacement gets a fresh id, so it survives.
+				if !killed && node == 0 {
+					killed = true
+					return errNodeDown
+				}
+				return nil
+			}
+			defer func() { farm.fault = nil }()
+			res, err := farm.RunWith(spec, nil, ExecOptions{Replay: mode.replay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			sawKill := killed
+			mu.Unlock()
+			if !sawKill {
+				t.Fatal("fault hook never fired; the test killed nothing")
+			}
+			got := serialize(t, isa.RISC, spec, res.Results)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("outcome table changed after node loss\n got: %s\nwant: %s", got, want)
+			}
+		})
 	}
 }
 

@@ -52,24 +52,27 @@ type BuildOptions struct {
 	Harden kir.HardenOpts
 }
 
-// BuildSystem compiles kernel + workload for the platform, boots, seals,
-// measures the golden checksum, and profiles kernel usage.
-func BuildSystem(platform isa.Platform, opts BuildOptions) (*System, error) {
-	if opts.Scale < 1 {
-		opts.Scale = 1
+// kernelOptions maps the study's build options onto the kernel build.
+func (o BuildOptions) kernelOptions() kernel.Options {
+	return kernel.Options{
+		TimerPeriod:    o.TimerPeriod,
+		Watchdog:       o.Watchdog,
+		CrashSender:    o.CrashSender,
+		Prog:           o.Kernel,
+		NoStackWrapper: o.NoStackWrapper,
+		Harden:         o.Harden,
 	}
-	uimg, err := cc.Compile(workload.Program(opts.Scale), platform, kernel.UserBases)
+}
+
+// BuildSystem compiles kernel + workload for the platform, boots, seals,
+// measures the golden checksum, and profiles kernel usage: a caller-owned
+// system for campaign.RunWith.
+func BuildSystem(platform isa.Platform, opts BuildOptions) (*System, error) {
+	uimg, err := cc.Compile(workload.Program(max(opts.Scale, 1)), platform, kernel.UserBases)
 	if err != nil {
 		return nil, fmt.Errorf("core: compile workload: %w", err)
 	}
-	sys, err := kernel.BuildSystem(platform, uimg, workload.StandardProcs(), kernel.Options{
-		TimerPeriod:    opts.TimerPeriod,
-		Watchdog:       opts.Watchdog,
-		CrashSender:    opts.CrashSender,
-		Prog:           opts.Kernel,
-		NoStackWrapper: opts.NoStackWrapper,
-		Harden:         opts.Harden,
-	})
+	sys, err := kernel.BuildSystem(platform, uimg, workload.StandardProcs(), opts.kernelOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +132,8 @@ type Config struct {
 	// an empty one) simply start from the beginning.
 	Resume bool
 	// Nodes runs each platform's campaigns on a farm of this many identical
-	// guest systems (0 or 1: a single system). Per-index results are
-	// identical to a single-node run of the same seed; only wall-clock
-	// changes.
+	// guest systems (0 means 1). Per-index results are identical at every
+	// node count; only wall-clock changes.
 	Nodes int
 	// Progress, when set, receives per-injection progress.
 	Progress func(p isa.Platform, c inject.Campaign, done, total int)
@@ -180,34 +182,11 @@ func Run(cfg Config) (*StudyResult, error) {
 	}
 	out := &StudyResult{PerPlatform: make(map[isa.Platform]*PlatformResult)}
 	for _, p := range cfg.Platforms {
-		var (
-			system *System
-			farm   *campaign.Farm
-			golden uint32
-			err    error
-		)
-		if cfg.Nodes > 1 {
-			farm, err = campaign.NewFarm(p, cfg.Nodes, cfg.Build.Scale, kernel.Options{
-				TimerPeriod:    cfg.Build.TimerPeriod,
-				Watchdog:       cfg.Build.Watchdog,
-				CrashSender:    cfg.Build.CrashSender,
-				Prog:           cfg.Build.Kernel,
-				NoStackWrapper: cfg.Build.NoStackWrapper,
-				Harden:         cfg.Build.Harden,
-			})
-			if err == nil {
-				golden = farm.Golden()
-			}
-		} else {
-			system, err = BuildSystem(p, cfg.Build)
-			if err == nil {
-				golden = system.Golden
-			}
-		}
+		farm, err := campaign.NewFarm(p, max(cfg.Nodes, 1), cfg.Build.Scale, cfg.Build.kernelOptions())
 		if err != nil {
 			return nil, err
 		}
-		pr := &PlatformResult{Platform: p, Golden: golden,
+		pr := &PlatformResult{Platform: p, Golden: farm.Golden(),
 			Outcomes: make(map[inject.Campaign]*CampaignOutcome)}
 		out.PerPlatform[p] = pr
 		for _, c := range cfg.Campaigns {
@@ -228,17 +207,11 @@ func Run(cfg Config) (*StudyResult, error) {
 			}
 			spec := campaign.Spec{Campaign: c, N: n, Seed: SpecSeed(cfg.Seed, p, c),
 				Burst: cfg.Burst}
-			exec, err := openJournal(cfg, p, golden, spec)
+			exec, err := openJournal(cfg, p, farm.Golden(), spec)
 			if err != nil {
 				return nil, err
 			}
-			var res *campaign.Result
-			if farm != nil {
-				res, err = farm.RunWith(spec, progress, exec)
-			} else {
-				res, err = campaign.RunWith(system.Sys, system.Golden, system.Profile,
-					spec, progress, exec)
-			}
+			res, err := farm.RunWith(spec, progress, exec)
 			if exec.Journal != nil {
 				if cerr := exec.Journal.Close(); cerr != nil && err == nil {
 					err = cerr

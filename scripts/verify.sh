@@ -22,6 +22,9 @@ sh scripts/lint.sh
 echo "== go test ./..."
 go test ./...
 
+echo "== benchmark module (kfibench): vet + tests against the checkout's exported driver API"
+(cd kfibench && go vet ./... && go test ./...)
+
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
 go test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 
